@@ -36,14 +36,26 @@ import (
 // while the tile is still hot in L1, instead of a second full sweep
 // over the output slab; see the function comments for the contract.
 
-// usePackedB gates the packed-B dispatch inside MulAdd and the packed
-// decode panels built by internal/core. Setting REPRO_NOPACK (to any
-// non-empty value) forces every consumer back onto the unpacked
-// kernels; because the packed paths are bit-identical, the flag never
+// usePackedB is the REPRO_NOPACK kill-switch. Setting REPRO_NOPACK (to
+// any non-empty value) turns off exactly these panel consumers:
+//
+//   - MulAdd's packed-B dispatch for forward GEMMs above packMinFlops;
+//   - the per-window recurrent weight panels of LSTM training
+//     (internal/nn reads PackingEnabled once per Forward/Backward);
+//   - the publish-time decode panels, which internal/core gates on the
+//     same environment variable.
+//
+// It does not cover the transpose-packed backward paths of MulATB and
+// MulABT above packMinFlops (pack.go), which always run. Every packed
+// path is bit-identical to its unpacked twin, so the switch never
 // changes results — it exists as a kill-switch and so CI can prove the
 // identity (scripts/check.sh runs a REPRO_NOPACK=1 tier). A variable,
 // not a const, so in-package tests can force either path.
 var usePackedB = os.Getenv("REPRO_NOPACK") == ""
+
+// PackingEnabled reports whether panel packing is on (REPRO_NOPACK
+// unset); see usePackedB for what it gates.
+func PackingEnabled() bool { return usePackedB }
 
 // Panel tile widths. The wide tile matches the widest register block
 // of the batched kernels (4 YMM accumulators); the narrow tile matches
@@ -89,9 +101,10 @@ func alignedFloats32(n int) []float32 {
 
 const cacheLineBytes = 64
 
-// PackedDense is a float64 weight matrix converted once into
-// j-tile-major panels for the packed decode kernels. It is immutable
-// after Pack and safe to share across goroutines and fleets.
+// PackedDense is a float64 weight matrix converted into j-tile-major
+// panels for the packed kernels. One built by Pack is immutable and
+// safe to share across goroutines and fleets; PackInto/PackTInto
+// repack a caller-owned one in place (training scratch).
 type PackedDense struct {
 	Rows, Cols int // shape of the original (k×n) matrix
 	data       []float64
@@ -101,39 +114,68 @@ type PackedDense struct {
 // the layout). The conversion is a pure copy — every element keeps its
 // value — and allocates once; call it at publish time, not per GEMM.
 func (m *Dense) Pack() *PackedDense {
-	p := &PackedDense{Rows: m.Rows, Cols: m.Cols, data: alignedFloats(m.Rows * m.Cols)}
-	packPanelInto(p.data, m)
+	p := &PackedDense{}
+	m.PackInto(p)
 	return p
+}
+
+// PackInto is Pack into reused storage: p takes m's shape and panel
+// copy, and its aligned backing grows only when m no longer fits, so a
+// caller that repacks changing weights (one training window at a time)
+// allocates nothing in steady state. p must not be read concurrently
+// with a repack.
+func (m *Dense) PackInto(p *PackedDense) {
+	p.reshape(m.Rows, m.Cols)
+	packPanels(p.data, m.Data, m.Rows, m.Cols, m.Cols, 1)
+}
+
+// PackTInto is PackInto for mᵀ: p becomes the m.Cols×m.Rows panel of
+// the transpose, read straight out of m without a transposed copy.
+func (m *Dense) PackTInto(p *PackedDense) {
+	p.reshape(m.Cols, m.Rows)
+	packPanels(p.data, m.Data, m.Cols, m.Rows, 1, m.Cols)
+}
+
+func (p *PackedDense) reshape(k, n int) {
+	p.Rows, p.Cols = k, n
+	if cap(p.data) < k*n {
+		p.data = alignedFloats(k * n)
+	}
+	p.data = p.data[:k*n]
 }
 
 func (p *PackedDense) String() string {
 	return fmt.Sprintf("PackedDense(%dx%d)", p.Rows, p.Cols)
 }
 
-// packPanelInto writes b's elements into dst in panel order: wide
-// (16-column) tiles first, then narrow (4-column) tiles, then the
-// column-major tail, each tile k-major. len(dst) must be b.Rows*b.Cols.
-func packPanelInto(dst []float64, b *Dense) {
-	k, n := b.Rows, b.Cols
+// packPanels writes the k×n matrix whose (kk, j) element is
+// src[kk*rs+j*cs] into dst in panel order: wide (16-column) tiles
+// first, then narrow (4-column) tiles, then the column-major tail
+// (one-column tiles), each tile k-major. The strides let one loop pack
+// a matrix (rs=n, cs=1) or its transpose (rs=1, cs=rows).
+func packPanels(dst, src []float64, k, n, rs, cs int) {
 	nw, nn := n&^(panelWide64-1), n&^(panelNarrow64-1)
 	off := 0
-	for j0 := 0; j0 < nw; j0 += panelWide64 {
-		for kk := 0; kk < k; kk++ {
-			copy(dst[off:off+panelWide64], b.Data[kk*n+j0:kk*n+j0+panelWide64])
-			off += panelWide64
+	for j0 := 0; j0 < n; {
+		w := 1
+		switch {
+		case j0 < nw:
+			w = panelWide64
+		case j0 < nn:
+			w = panelNarrow64
 		}
-	}
-	for j0 := nw; j0 < nn; j0 += panelNarrow64 {
 		for kk := 0; kk < k; kk++ {
-			copy(dst[off:off+panelNarrow64], b.Data[kk*n+j0:kk*n+j0+panelNarrow64])
-			off += panelNarrow64
+			base := kk*rs + j0*cs
+			if cs == 1 {
+				copy(dst[off:off+w], src[base:base+w])
+			} else {
+				for c := range dst[off : off+w] {
+					dst[off+c] = src[base+c*cs]
+				}
+			}
+			off += w
 		}
-	}
-	for j := nn; j < n; j++ {
-		for kk := 0; kk < k; kk++ {
-			dst[off] = b.Data[kk*n+j]
-			off++
-		}
+		j0 += w
 	}
 }
 
@@ -289,16 +331,27 @@ func mulAddPackedB(dst, a, b *Dense) {
 	k, n := b.Rows, b.Cols
 	sp := packGet(k * n)
 	pb := PackedDense{Rows: k, Cols: n, data: *sp}
-	packPanelInto(pb.data, b)
-	rowFlops := k * n
-	if a.Rows*rowFlops < parMinFlops || par.Procs() == 1 {
-		mulAddPackedRows(dst, a, &pb, 0, a.Rows, nil)
-	} else {
-		par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
-			mulAddPackedRows(dst, a, &pb, lo, hi, nil)
-		})
-	}
+	packPanels(pb.data, b.Data, k, n, n, 1)
+	MulAddPackedPar(dst, a, &pb)
 	packPut(sp)
+}
+
+// MulAddPackedPar is MulAddPacked for callers that do not own their
+// concurrency (training): row-parallel above the same threshold MulAdd
+// uses, serial and allocation-free below it. Rows are independent, so
+// the split cannot change a bit.
+func MulAddPackedPar(dst, a *Dense, b *PackedDense) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: MulAddPackedPar shape mismatch %v * %v -> %v", a, b, dst))
+	}
+	rowFlops := b.Rows * b.Cols
+	if a.Rows*rowFlops < parMinFlops || par.Procs() == 1 {
+		mulAddPackedRows(dst, a, b, 0, a.Rows, nil)
+		return
+	}
+	par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
+		mulAddPackedRows(dst, a, b, lo, hi, nil)
+	})
 }
 
 // PackedDense32 is the float32 counterpart of PackedDense: 32-column

@@ -5,6 +5,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/par"
 )
 
 // withPackedB runs f with the packed-B MulAdd dispatch forced on and
@@ -49,6 +52,86 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPackIntoReuse pins the reuse-storage pack helpers: PackInto and
+// PackTInto produce the same panels as a fresh Pack of the matrix (or
+// of its explicit transpose), keep the backing cache-line aligned, and
+// repacking at or below the grown size allocates nothing.
+func TestPackIntoReuse(t *testing.T) {
+	var p PackedDense
+	for _, sh := range panelShapes {
+		k, n := sh[1], sh[2]
+		b := denseRand(k, n, 8)
+		bt := NewDense(n, k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < n; j++ {
+				bt.Set(j, i, b.At(i, j))
+			}
+		}
+		for _, c := range []struct {
+			name string
+			pack func()
+			want *PackedDense
+		}{
+			{"PackInto", func() { b.PackInto(&p) }, b.Pack()},
+			{"PackTInto", func() { b.PackTInto(&p) }, bt.Pack()},
+		} {
+			c.pack()
+			if p.Rows != c.want.Rows || p.Cols != c.want.Cols {
+				t.Fatalf("%dx%d %s: shape %v, want %v", k, n, c.name, &p, c.want)
+			}
+			for i := range c.want.data {
+				if math.Float64bits(p.data[i]) != math.Float64bits(c.want.data[i]) {
+					t.Fatalf("%dx%d %s: panel elem %d differs from a fresh Pack", k, n, c.name, i)
+				}
+			}
+			if addr := uintptr(unsafe.Pointer(&p.data[0])); addr%cacheLineBytes != 0 {
+				t.Fatalf("%dx%d %s: panel not cache-line aligned (%#x)", k, n, c.name, addr)
+			}
+		}
+	}
+	big := denseRand(64, 256, 9)
+	small := denseRand(24, 96, 10)
+	big.PackInto(&p)
+	if allocs := testing.AllocsPerRun(20, func() {
+		small.PackInto(&p)
+		small.PackTInto(&p)
+		big.PackTInto(&p)
+	}); allocs != 0 {
+		t.Fatalf("repacking into grown storage allocates %v times, want 0", allocs)
+	}
+}
+
+// TestMulAddPackedParMatchesMulABT pins the BPTT recurrent-gradient
+// identity: accumulating a·bᵀ into a zeroed dst through a PackTInto
+// panel reproduces MulABT's dot-then-add bits exactly (a dot product
+// and a packed accumulation both start from +0 and add the same terms
+// in ascending k), on both kernels and at any worker count.
+func TestMulAddPackedParMatchesMulABT(t *testing.T) {
+	defer par.SetProcs(par.SetProcs(1))
+	withBatchASM(t, func(t *testing.T) {
+		for _, procs := range []int{1, 4} {
+			par.SetProcs(procs)
+			for _, sh := range panelShapes {
+				m, n, k := sh[0], sh[1], sh[2] // a is m×k, b is n×k
+				a := denseRand(m, k, 11)
+				b := denseRand(n, k, 12)
+				want := NewDense(m, n)
+				MulABT(want, a, b)
+				var bt PackedDense
+				b.PackTInto(&bt)
+				got := NewDense(m, n)
+				MulAddPackedPar(got, a, &bt)
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("procs %d %dx%dx%d: elem %d: got %x want %x", procs, m, k, n, i,
+							math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestMulAddPackedBitExact pins the packed f64 kernel against

@@ -259,9 +259,15 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	h := n.Cfg.HiddenDim
 	id := n.Cfg.InputDim
 	nl := len(n.layers)
-	ar := n.workspace().flip()
+	ws := n.workspace()
+	ar := ws.flip()
 	cache := ar.lstmCache(nl)
 	cache.steps, cache.batch = T, b
+	packed := mat.PackingEnabled()
+	if packed {
+		ws.wh = panels(ws.wh, nl)
+	}
+	ts := ar.fslice(h) // vecTanhInto scratch
 
 	// Pack the step inputs into one [T·B x InputDim] slab so layer 0's
 	// input projection runs as a single sequence-fused GEMM.
@@ -307,13 +313,29 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 		} else {
 			mat.MulAdd(Z, layerX, layer.wx.Value)
 		}
+		// The recurrent weights are constant for the whole window, so
+		// they are packed once here and all T steps run the packed
+		// kernel — bit-identical to MulAdd, which at one shard row
+		// would fall to the scalar axpy loop.
+		var whp *mat.PackedDense
+		if packed {
+			whp = &ws.wh[l]
+			layer.wh.Value.PackInto(whp)
+		}
 		bias := layer.b.Value.Row(0)
 		for t := 0; t < T; t++ {
 			zt := ar.view(Z, t*b, (t+1)*b)
 			hPrev := ar.view(H, t*b, (t+1)*b)
-			mat.MulAdd(zt, hPrev, layer.wh.Value)
+			if whp != nil {
+				mat.MulAddPackedPar(zt, hPrev, whp)
+			} else {
+				mat.MulAdd(zt, hPrev, layer.wh.Value)
+			}
 			mat.AddBiasRows(zt, bias)
 			for r := 0; r < b; r++ {
+				// Gate and cell activations through the vectorized
+				// kernels, bit-identical to the scalar sigmoid and
+				// math.Tanh that StepForward keeps as the reference.
 				row := t*b + r
 				zrow := zt.Row(r)
 				irow, frow := I.Row(row), F.Row(row)
@@ -322,13 +344,15 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 				crow := C.Row(row + b)
 				hrow := H.Row(row + b)
 				tcrow := TC.Row(row)
-				for j := 0; j < h; j++ {
-					irow[j] = sigmoid(zrow[j])
-					frow[j] = sigmoid(zrow[h+j])
-					grow[j] = math.Tanh(zrow[2*h+j])
-					orow[j] = sigmoid(zrow[3*h+j])
+				SigmoidIntoVec(zrow[:h], irow)
+				SigmoidIntoVec(zrow[h:2*h], frow)
+				vecTanhInto(grow, zrow[2*h:3*h], ts)
+				SigmoidIntoVec(zrow[3*h:], orow)
+				for j := range crow {
 					crow[j] = frow[j]*cprow[j] + irow[j]*grow[j]
-					tcrow[j] = math.Tanh(crow[j])
+				}
+				vecTanhInto(tcrow, crow, ts)
+				for j := range hrow {
 					hrow[j] = orow[j] * tcrow[j]
 				}
 			}
@@ -377,6 +401,11 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 	od := n.Cfg.OutputDim
 	nl := len(n.layers)
 	ar := cache.ar
+	ws := n.workspace()
+	packed := mat.PackingEnabled()
+	if packed {
+		ws.whT = panels(ws.whT, nl)
+	}
 
 	// Pack the head gradients and run the head backward fused.
 	DY := ar.slab(T*b, od, false)
@@ -396,15 +425,21 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 	DH := ar.slab(T*b, h, true)
 	mat.MulABT(DH, DY, n.wy.Value)
 
-	DZ := ar.slab(T*b, 4*h, false)  // pre-activation grads, fully written per layer
-	dc := ar.slab(b, h, false)      // carried cell gradient
-	dhrec := ar.slab(b, h, false)   // carried recurrent hidden gradient
+	DZ := ar.slab(T*b, 4*h, false) // pre-activation grads, fully written per layer
+	dc := ar.slab(b, h, false)     // carried cell gradient
+	dhrec := ar.slab(b, h, false)  // carried recurrent hidden gradient
 	for l := nl - 1; l >= 0; l-- {
 		layer := n.layers[l]
 		C := cache.c[l]
 		I, F := cache.i[l], cache.f[l]
 		G, O := cache.g[l], cache.o[l]
 		TC := cache.tanhC[l]
+		// whᵀ is packed once per window, like wh in Forward.
+		var whT *mat.PackedDense
+		if packed {
+			whT = &ws.whT[l]
+			layer.wh.Value.PackTInto(whT)
+		}
 		dc.Zero()
 		dhrec.Zero()
 		for t := T - 1; t >= 0; t-- {
@@ -431,11 +466,18 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 					dcRow[j] = dcj * fRow[j]
 				}
 			}
-			// Recurrent gradient into step t-1.
+			// Recurrent gradient into step t-1. Accumulating into the
+			// zeroed dhrec through the whᵀ panel reproduces MulABT's
+			// dot-then-add bits: both start from +0 and add the same
+			// terms in ascending order.
 			if t > 0 {
 				dzt := ar.view(DZ, t*b, (t+1)*b)
 				dhrec.Zero()
-				mat.MulABT(dhrec, dzt, layer.wh.Value)
+				if whT != nil {
+					mat.MulAddPackedPar(dhrec, dzt, whT)
+				} else {
+					mat.MulABT(dhrec, dzt, layer.wh.Value)
+				}
 			}
 		}
 		// Parameter gradients, sequence-fused over all T steps.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -91,40 +92,107 @@ func TestForwardShapesAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestForwardStateCarries(t *testing.T) {
-	n := tinyNet(t, 3, 4, 1, 2, 4)
-	xs := randInputs(rng.New(5), 4, 1, 3)
-	// Full sequence in one call vs two calls with carried state. Forward
-	// outputs alias the workspace and stay valid only until the
-	// next-but-one Forward, so snapshot each result before moving on.
-	ysAllView, _ := n.Forward(xs, nil)
-	ysAll := cloneAll(ysAllView)
-	st := n.NewState(1)
-	ysA, _ := n.Forward(xs[:2], st)
-	got := cloneAll(ysA)
-	ysB, _ := n.Forward(xs[2:], st)
-	got = append(got, cloneAll(ysB)...)
-	for t2 := range ysAll {
-		for i := range ysAll[t2].Data {
-			if math.Abs(ysAll[t2].Data[i]-got[t2].Data[i]) > 1e-12 {
-				t.Fatalf("state carry mismatch at step %d", t2)
+// forwardCase is one shape of the Forward exactness table. H=5 puts
+// the recurrent products on the narrow panel tile plus the scalar
+// column tail (and the whᵀ panel on the tail alone); H=24 on wide and
+// narrow tiles. oneHot feeds layer 0 one-hot rows, which sends the
+// input projections down the sparse kernels.
+type forwardCase struct {
+	batch, hidden int
+	oneHot        bool
+}
+
+func forwardCases() []forwardCase {
+	var cs []forwardCase
+	for _, b := range []int{1, 3} {
+		for _, h := range []int{5, 24} {
+			for _, oh := range []bool{false, true} {
+				cs = append(cs, forwardCase{b, h, oh})
 			}
+		}
+	}
+	return cs
+}
+
+func (c forwardCase) String() string {
+	return fmt.Sprintf("b%d_h%d_onehot%v", c.batch, c.hidden, c.oneHot)
+}
+
+// inputs draws the case's step inputs over inDim features.
+func (c forwardCase) inputs(seed int64, steps, inDim int) []*mat.Dense {
+	g := rng.New(seed)
+	if !c.oneHot {
+		return randInputs(g, steps, c.batch, inDim)
+	}
+	xs := make([]*mat.Dense, steps)
+	for t := range xs {
+		xs[t] = mat.NewDense(c.batch, inDim)
+		for r := 0; r < c.batch; r++ {
+			xs[t].Set(r, g.Intn(inDim), 1)
+		}
+	}
+	return xs
+}
+
+// sameBits fails unless got and want hold bit-identical values.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: got %v want %v", what, i, got[i], want[i])
 		}
 	}
 }
 
-func TestStepForwardMatchesForward(t *testing.T) {
-	n := tinyNet(t, 3, 4, 2, 2, 6)
-	xs := randInputs(rng.New(7), 5, 1, 3)
-	ysAll, _ := n.Forward(xs, nil)
-	st := n.NewState(1)
-	for t2, x := range xs {
-		y := n.StepForward(x.Row(0), st)
-		for j, v := range y {
-			if math.Abs(v-ysAll[t2].At(0, j)) > 1e-12 {
-				t.Fatalf("StepForward mismatch at step %d out %d", t2, j)
+// TestForwardStateCarries pins that splitting a sequence across two
+// Forward calls with a carried state is bit-identical to one call.
+func TestForwardStateCarries(t *testing.T) {
+	const inDim, steps = 8, 5
+	for _, c := range forwardCases() {
+		t.Run(c.String(), func(t *testing.T) {
+			n := tinyNet(t, inDim, c.hidden, 2, 4, 4)
+			xs := c.inputs(5, steps, inDim)
+			// Forward outputs alias the workspace and stay valid only
+			// until the next-but-one Forward, so snapshot each result
+			// before moving on.
+			ysAllView, _ := n.Forward(xs, nil)
+			ysAll := cloneAll(ysAllView)
+			st := n.NewState(c.batch)
+			ysA, _ := n.Forward(xs[:2], st)
+			got := cloneAll(ysA)
+			ysB, _ := n.Forward(xs[2:], st)
+			got = append(got, cloneAll(ysB)...)
+			for s := range ysAll {
+				sameBits(t, fmt.Sprintf("step %d out", s), got[s].Data, ysAll[s].Data)
 			}
-		}
+		})
+	}
+}
+
+// TestStepForwardMatchesForward pins the window Forward (packed
+// recurrent panels, vectorized activations) to the scalar StepForward
+// reference bit for bit, stepping each batch row on its own state.
+func TestStepForwardMatchesForward(t *testing.T) {
+	const inDim, steps = 8, 6
+	for _, c := range forwardCases() {
+		t.Run(c.String(), func(t *testing.T) {
+			n := tinyNet(t, inDim, c.hidden, 2, 4, 6)
+			xs := c.inputs(7, steps, inDim)
+			st := n.NewState(c.batch)
+			ysView, _ := n.Forward(xs, st)
+			ys := cloneAll(ysView)
+			for r := 0; r < c.batch; r++ {
+				rst := n.NewState(1)
+				for s, x := range xs {
+					y := n.StepForward(x.Row(r), rst)
+					sameBits(t, fmt.Sprintf("row %d step %d out", r, s), y, ys[s].Row(r))
+				}
+				for l := range st.H {
+					sameBits(t, fmt.Sprintf("row %d layer %d h", r, l), rst.H[l].Row(0), st.H[l].Row(r))
+					sameBits(t, fmt.Sprintf("row %d layer %d c", r, l), rst.C[l].Row(0), st.C[l].Row(r))
+				}
+			}
+		})
 	}
 }
 

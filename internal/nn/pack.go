@@ -25,8 +25,10 @@ type packedLayer struct {
 }
 
 // PackedLSTM carries panel-packed copies of an LSTM's decode weights.
-// Training never reads it: the optimizer updates the unpacked Params,
-// and serving snapshots re-pack from those.
+// Training does not use one, because the optimizer updates the
+// unpacked Params between windows. Instead, Forward and Backward repack
+// each layer's wh (and whᵀ) into workspace panels once per BPTT window,
+// and serving snapshots re-pack from the trained Params.
 type PackedLSTM struct {
 	src    *LSTM
 	layers []packedLayer

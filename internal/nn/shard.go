@@ -206,6 +206,16 @@ type ShardedLSTM struct {
 	views   []*shardViews
 	losses  []float64
 	counts  []int
+
+	// shard is the per-shard window body, built once so RunWindow hands
+	// par.Do no fresh closure; it reads the running window's arguments
+	// from win, which RunWindow sets and clears around the fan-out.
+	shard func(si int)
+	win   struct {
+		xs  []*mat.Dense
+		st  *State
+		dys ShardDys
+	}
 }
 
 // NewShardedLSTM prepares a sharded trainer for batches of up to
@@ -219,7 +229,29 @@ func NewShardedLSTM(net *LSTM, maxBatch int) *ShardedLSTM {
 	}
 	s.losses = make([]float64, ns)
 	s.counts = make([]int, ns)
+	s.shard = s.runShard
 	return s
+}
+
+// runShard runs shard si of the current window: forward over its
+// row-sliced inputs from its row-sliced state, loss gradients, backward
+// into the shard's private gradients, and its final state written back.
+func (s *ShardedLSTM) runShard(si int) {
+	xs, st := s.win.xs, s.win.st
+	b := xs[0].Rows
+	lo := si * ShardRows
+	hi := min(lo+ShardRows, b)
+	shadow := s.shadows[si]
+	sv := s.views[si]
+	shadow.ZeroGrads()
+	sst := sv.bindState(st, lo, hi)
+	ys, cache := shadow.Forward(sv.bindInputs(xs, lo, hi), sst)
+	d, l, n := s.win.dys(lo, hi, ys)
+	if d != nil {
+		shadow.Backward(cache, d)
+	}
+	st.CopyRows(lo, hi, sst)
+	s.losses[si], s.counts[si] = l, n
 }
 
 // RunWindow runs one truncated-BPTT window: per shard, forward over the
@@ -238,24 +270,9 @@ func (s *ShardedLSTM) RunWindow(xs []*mat.Dense, st *State, dys ShardDys) (loss 
 	if ns > len(s.shadows) {
 		panic(fmt.Sprintf("nn: RunWindow batch %d exceeds prepared shards %d", b, len(s.shadows)))
 	}
-	par.Do(ns, func(si int) {
-		lo := si * ShardRows
-		hi := lo + ShardRows
-		if hi > b {
-			hi = b
-		}
-		shadow := s.shadows[si]
-		sv := s.views[si]
-		shadow.ZeroGrads()
-		sst := sv.bindState(st, lo, hi)
-		ys, cache := shadow.Forward(sv.bindInputs(xs, lo, hi), sst)
-		d, l, n := dys(lo, hi, ys)
-		if d != nil {
-			shadow.Backward(cache, d)
-		}
-		st.CopyRows(lo, hi, sst)
-		s.losses[si], s.counts[si] = l, n
-	})
+	s.win.xs, s.win.st, s.win.dys = xs, st, dys
+	par.Do(ns, s.shard)
+	s.win.xs, s.win.st, s.win.dys = nil, nil, nil
 	s.Net.ZeroGrads()
 	reduceGrads(s.Net.params, ns, func(i int) []*Param { return s.shadows[i].params })
 	for si := 0; si < ns; si++ {

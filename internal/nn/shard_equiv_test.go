@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,9 +17,21 @@ import (
 // gradients row-interleaved per time step, while shards sum each row's
 // full time series before the fixed-order reduction — a pure
 // regrouping of the same terms. Cross-worker-count bit-identity is
-// covered by the root determinism test instead.
+// covered by the root determinism test instead. It runs serially and
+// with four workers: with workers the shards step concurrently, each
+// repacking its recurrent weight panels into its own workspace, which
+// scripts/check.sh races under GOMAXPROCS=4.
 func TestShardedMatchesDirect(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			par.SetProcs(procs)
+			testShardedMatchesDirect(t)
+		})
+	}
+}
+
+func testShardedMatchesDirect(t *testing.T) {
 	const inDim, hidden, outDim, steps, batch = 7, 6, 5, 4, 3
 	mk := func() *LSTM {
 		return NewLSTM(Config{InputDim: inDim, HiddenDim: hidden, Layers: 2, OutputDim: outDim}, rng.New(1))

@@ -118,6 +118,23 @@ func (a *arena) view(m *mat.Dense, lo, hi int) *mat.Dense {
 type Workspace struct {
 	arenas [2]arena
 	cur    int
+
+	// wh and whT are the per-layer recurrent weight panels of LSTM
+	// training: Forward repacks every layer's wh, Backward its whᵀ,
+	// once per call, and each of the window's T steps then runs the
+	// packed kernel against them (DESIGN.md §6.5, "Training windows").
+	// Only the running call reads them, so they sit outside the
+	// flipping arenas.
+	wh, whT []mat.PackedDense
+}
+
+// panels returns ps grown to at least nl entries, keeping the storage
+// of the existing ones.
+func panels(ps []mat.PackedDense, nl int) []mat.PackedDense {
+	if len(ps) < nl {
+		ps = append(ps, make([]mat.PackedDense, nl-len(ps))...)
+	}
+	return ps
 }
 
 func (w *Workspace) flip() *arena {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -148,5 +149,40 @@ func TestForwardBackwardSteadyStateAllocs(t *testing.T) {
 	pass() // warm both arenas
 	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
 		t.Fatalf("steady-state Forward/Backward allocates %v times, want 0", allocs)
+	}
+}
+
+// TestShardedRunWindowSteadyStateAllocs pins the sharded training
+// window: once every shadow's workspace arenas and recurrent weight
+// panels are grown, a full RunWindow (per-shard Forward with the wh
+// panels, loss callback, Backward with the whᵀ panels, fixed-order
+// gradient reduction) performs no allocation. Run serially: with
+// workers, par.Do's goroutine fan-out allocates a bounded amount per
+// window by design.
+func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
+	defer par.SetProcs(par.SetProcs(1))
+	const inDim, hidden, outDim, steps, batch = 3, 24, 4, 6, 3
+	n := NewLSTM(Config{InputDim: inDim, HiddenDim: hidden, Layers: 2, OutputDim: outDim}, rng.New(41))
+	xs := randInputs(rng.New(42), steps, batch, inDim)
+	st := n.NewState(batch)
+	drv := NewShardedLSTM(n, batch)
+	shardDys := make([][]*mat.Dense, batch)
+	for r := range shardDys {
+		for s := 0; s < steps; s++ {
+			shardDys[r] = append(shardDys[r], mat.NewDense(1, outDim))
+		}
+	}
+	dys := func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
+		d := shardDys[lo]
+		for s, y := range ys {
+			copy(d[s].Data, y.Data) // any gradient will do; shape is what matters
+		}
+		return d, 1, hi - lo
+	}
+	window := func() { drv.RunWindow(xs, st, dys) }
+	window()
+	window() // warm both arenas of every shadow
+	if allocs := testing.AllocsPerRun(20, window); allocs != 0 {
+		t.Fatalf("steady-state sharded RunWindow allocates %v times, want 0", allocs)
 	}
 }

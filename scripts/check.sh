@@ -21,11 +21,20 @@ go test -race -run 'TestDeterminism|TestObservability|TestKillAndResume|TestBatc
 # Sharded decode tier (DESIGN.md §6.3): the determinism and hot-reload
 # guarantees must hold when the shards genuinely step on multiple cores,
 # so force GOMAXPROCS=4 regardless of the host default.
+# TestShardedMatchesDirect steps training shards concurrently, each
+# repacking its recurrent weight panels into its own workspace.
 GOMAXPROCS=4 go test -race \
-	-run 'TestShardedDecodeDeterminism|TestShardedEngine|TestShardOf|TestFleetConcurrentShards' \
+	-run 'TestShardedDecodeDeterminism|TestShardedEngine|TestShardOf|TestFleetConcurrentShards|TestShardedMatchesDirect' \
 	./internal/core ./internal/nn
 GOMAXPROCS=4 go test -race -run 'TestHotReloadUnderLoad|TestMetricsShardGauges|TestShardedServerMatchesBatched' \
 	./internal/server
+
+# The kernel switches below are read once at package init, before the
+# test cache starts recording environment reads, so a leg that differs
+# from an earlier one only in its REPRO_* variables is served from the
+# cache without running. The legs below pass -count=1, except the two
+# package-wide -race legs: run uncached, internal/core alone takes over
+# go test's 10-minute package timeout on a 2-CPU host (ROADMAP.md).
 
 # Pure-Go kernel tier (DESIGN.md §6.4): REPRO_NOASM forces every
 # assembly kernel onto its portable fallback, so the bit-identity
@@ -34,26 +43,35 @@ GOMAXPROCS=4 go test -race -run 'TestHotReloadUnderLoad|TestMetricsShardGauges|T
 # run — under -race, which the assembly paths cannot be.
 REPRO_NOASM=1 go test -race ./internal/mat ./internal/nn ./internal/core
 
+# Golden training pin: the trained-weight and generated-trace digests
+# are fixed constants, so they must come out the same on every kernel
+# configuration — portable kernels, one worker, and (below) unpacked.
+REPRO_NOASM=1 go test -count=1 -run 'TestTrainModelGoldenDigest' ./internal/core
+REPRO_PROCS=1 go test -count=1 -run 'TestTrainModelGoldenDigest' ./internal/core
+
 # Packed-panel parity tier (DESIGN.md §6.5): REPRO_NOPACK drops every
-# decode fleet and forward GEMM back to the unpacked kernels; the same
-# byte-identity suites must pass, proving the kill-switch cannot change
-# a trace. The -race leg also races the packed kernels (epilogue
-# closures run inside concurrently stepped per-shard fleets), and the
-# combined NOASM+NOPACK leg pins the fully-portable, fully-unpacked
-# floor every other configuration is measured against.
+# decode fleet, forward GEMM and training-window recurrent product
+# back to the unpacked kernels; the same byte-identity suites must
+# pass, proving the kill-switch cannot change a trace. The -race leg
+# also races the packed kernels (epilogue closures run inside
+# concurrently stepped per-shard fleets), and the combined NOASM+NOPACK
+# leg pins the fully-portable, fully-unpacked floor every other
+# configuration is measured against.
 REPRO_NOPACK=1 go test -race ./internal/mat ./internal/nn ./internal/core
-REPRO_NOPACK=1 REPRO_NOASM=1 go test \
-	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet' \
+REPRO_NOPACK=1 go test -count=1 -run 'TestTrainModelGoldenDigest' ./internal/core
+REPRO_NOPACK=1 REPRO_NOASM=1 go test -count=1 \
+	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainModelGoldenDigest' \
 	./internal/core .
-REPRO_NOPACK=1 go test -run 'TestHotReloadRepacksPanels' ./internal/server
+REPRO_NOPACK=1 go test -count=1 -run 'TestHotReloadRepacksPanels' ./internal/server
 
 # Memory-discipline pins: the per-shard round path, the fleet step
-# kernel, and the par Snapshot poll must stay allocation-free in steady
-# state, and the Table4 survival-MSE sweep must hold its pooled-curve
-# allocation budget (AllocsPerRun pins run without -race; the race
-# runtime's instrumentation allocates).
+# kernel, the training Forward/Backward pass and sharded BPTT window
+# (recurrent weight panels included), and the par Snapshot poll must
+# stay allocation-free in steady state, and the Table4 survival-MSE
+# sweep must hold its pooled-curve allocation budget (AllocsPerRun pins
+# run without -race; the race runtime's instrumentation allocates).
 go test -run 'TestShardedRoundSteadyStateAllocs|TestTracingDisabledRoundAllocs' ./internal/core
-go test -run 'TestFleetStepAllocFree|TestFleetPackedStepAllocFree' ./internal/nn
+go test -run 'TestFleetStepAllocFree|TestFleetPackedStepAllocFree|TestForwardBackwardSteadyStateAllocs|TestShardedRunWindowSteadyStateAllocs' ./internal/nn
 go test -run 'TestSnapshotZeroAlloc' ./internal/par
 go test -run 'TestTable4SurvivalAllocs' ./internal/experiments
 
